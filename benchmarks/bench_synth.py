@@ -2,7 +2,7 @@
 TLS simulator, with known-parallelism labels as the gate.
 
 Every registered synthetic instance (5 families x 20 seeded instances)
-runs the pipeline twice — legacy hydra-tls and multi-model argmax —
+runs the pipeline twice — default hydra-tls and multi-model argmax —
 and the atlas aggregates, per family, the workload-level prediction
 error, the per-model STL error, and whether each instance's
 parallelism label held up in simulation (parallel families must speed
@@ -12,9 +12,9 @@ The headline result is the **bound breaker**: the chase family's
 heap-carried pointer chase misspeculates every iteration while
 Equation 1 models the chain as an arc-separation delay, so its
 measured error (max 74.7%) blows straight through the 40% fallback
-bound the conformance oracle applies to unmeasured programs — the
-same mechanism as the documented BitOps outlier, now available as 20
-parameterized instances.  EXPERIMENTS.md carries the measured table;
+bound the conformance oracle applies to unmeasured programs, across 20
+parameterized instances.  (BitOps, the bundled outlier, misses by load
+imbalance instead.)  EXPERIMENTS.md carries the measured table;
 :data:`repro.synth.atlas.FAMILY_ERROR_BOUNDS` pins the ceilings this
 gate enforces.
 
@@ -101,7 +101,7 @@ def run_benchmark(quick: bool = False) -> Dict:
         "violations": atlas.violations(),
         "atlas": atlas.to_dict() if not quick else None,
         "notes": (
-            "each instance runs the pipeline twice (legacy hydra-tls "
+            "each instance runs the pipeline twice (default hydra-tls "
             "and models='all' argmax); families aggregate the "
             "workload-level |pred-act|/act error, the per-model STL "
             "error, and the label-oracle outcome. 'breakers' names "

@@ -16,12 +16,14 @@ checked properties:
   ranks first too (documented exceptions in
   :data:`KNOWN_WINNER_MISMATCHES`).
 
-With ``models=`` the fleet instead runs the multi-model argmax
-pipeline, and the gate shifts to the per-model property: every
-selected STL's predicted-vs-actual speedup error stays within the
-winning model's ceiling (:data:`MODEL_ERROR_BOUNDS`).  Workload-level
-bounds and the winner check are legacy-calibrated and do not apply —
-model selection changes which loops run and what they achieve.
+With ``models=`` naming any set other than the default
+``(DEFAULT_MODEL,)`` the fleet runs the multi-model argmax pipeline,
+and the gate shifts to the per-model property: every selected STL's
+predicted-vs-actual speedup error stays within the winning model's
+ceiling (:data:`MODEL_ERROR_BOUNDS`).  Workload-level bounds and the
+winner check are calibrated on the default hydra-tls-only set and do
+not apply — model selection changes which loops run and what they
+achieve.
 
 EXPERIMENTS.md records the measured numbers behind every bound and
 exception; ``jrpm conform`` runs this as the CI conformance gate and
@@ -36,6 +38,7 @@ from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.jrpm.cache import ArtifactCache
 from repro.jrpm.executor import FleetExecutor
 from repro.jrpm.pipeline import Jrpm
+from repro.models import DEFAULT_MODEL, resolve_models
 from repro.workloads.registry import Workload, all_workloads
 
 #: fallback workload-level relative-error ceiling on predicted vs
@@ -51,10 +54,12 @@ DEFAULT_ERROR_BOUND = 0.40
 #: replacing the old one-size 40% bound that let a 2%-error workload
 #: regress 20x before the gate noticed.  Measured values are in
 #: EXPERIMENTS.md ("Estimator conformance"); keep the two in sync.
-#: BitOps stays the documented outlier at 170%: its single selected
-#: loop is violation-free in Equation 1's model but misspeculates
-#: heavily in the simulator, and with one loop there is no winner
-#: ranking to save it.
+#: BitOps stays the documented outlier at 170%.  Its single selected
+#: loop (L0) rarely misspeculates — 8 violations over 140 threads —
+#: but its thread sizes run from 248 to 26,992 cycles (CV 1.36), and
+#: in-order commit makes short threads wait behind long ones.  That
+#: load imbalance is invisible to Equation 1, which sees only the mean
+#: thread size; with one loop there is no winner ranking to save it.
 WORKLOAD_ERROR_BOUNDS: Dict[str, float] = {
     "Assignment": 0.06,     # measured 2.1%
     "BitOps": 1.70,         # measured 156.7% (documented outlier)
@@ -88,11 +93,11 @@ WORKLOAD_ERROR_BOUNDS: Dict[str, float] = {
 #: applied when the oracle runs the multi-model pipeline.  hydra-tls
 #: measures at most ~42% on any selected STL (monteCarlo L3).  The
 #: DOACROSS estimator's analytic post/wait + predictor-coverage model
-#: is coarser: worst case 152% on BitOps L0 — the same documented
-#: misspeculation outlier as the legacy 170% bound, where both
-#: models' analytic paths miss the simulator-only violations — and
-#: ~107% elsewhere (compress L3, where the live-in predictor covers
-#: less than the 75% coverage assumption).
+#: is coarser: worst case 152% on BitOps L0 — the same load-imbalance
+#: outlier as its 170% workload bound, where both models' analytic
+#: paths price the mean thread size and miss the spread the replay
+#: pays for — and ~107% elsewhere (compress L3, where the live-in
+#: predictor covers less than the 75% coverage assumption).
 MODEL_ERROR_BOUNDS: Dict[str, float] = {
     "sequential": 0.0,   # predicts 1.0x by construction
     "hydra-tls": 0.55,   # measured max ~42%
@@ -113,13 +118,12 @@ class STLConformance:
 
     def __init__(self, loop_id: int, predicted_cycles: float,
                  actual_cycles: int, sequential_cycles: int,
-                 model: str = "hydra-tls"):
+                 model: str = DEFAULT_MODEL):
         self.loop_id = loop_id
         self.predicted_cycles = predicted_cycles
         self.actual_cycles = actual_cycles
         self.sequential_cycles = sequential_cycles
-        #: execution model that simulated this loop ("hydra-tls" on
-        #: the legacy single-model path)
+        #: execution model that simulated this loop
         self.model = model
 
     @property
@@ -182,7 +186,7 @@ class WorkloadConformance:
                  coverage: float, stls: List[STLConformance],
                  winner_predicted: Optional[int],
                  winner_actual: Optional[int],
-                 models: Optional[tuple] = None):
+                 models: tuple = (DEFAULT_MODEL,)):
         self.name = name
         self.category = category
         self.predicted_speedup = predicted_speedup
@@ -191,8 +195,15 @@ class WorkloadConformance:
         self.stls = stls
         self.winner_predicted = winner_predicted
         self.winner_actual = winner_actual
-        #: execution models the run competed (None = legacy pipeline)
+        #: execution models the run competed
         self.models = models
+
+    @property
+    def default_models(self) -> bool:
+        """True when the run competed only the default model — the
+        set the workload-level bounds and winner check are calibrated
+        on."""
+        return self.models == (DEFAULT_MODEL,)
 
     @property
     def rel_error(self) -> float:
@@ -221,7 +232,7 @@ class WorkloadConformance:
             "winner_predicted": self.winner_predicted,
             "winner_actual": self.winner_actual,
             "winner_match": self.winner_match,
-            "models": list(self.models) if self.models else None,
+            "models": list(self.models),
             "stls": [s.to_dict() for s in self.stls],
         }
 
@@ -236,8 +247,7 @@ def conformance_row(name: str, category: str, report
             continue
         stls.append(STLConformance(
             sel.loop_id, sel.predicted_cycles, tls.parallel_cycles,
-            sel.sequential_cycles,
-            model=getattr(sel, "model", "hydra-tls")))
+            sel.sequential_cycles, model=sel.model))
     winner_predicted = winner_actual = None
     if stls:
         winner_predicted = max(
@@ -249,8 +259,7 @@ def conformance_row(name: str, category: str, report
     return WorkloadConformance(
         name, category, report.predicted_speedup,
         report.actual_speedup, report.coverage, stls,
-        winner_predicted, winner_actual,
-        models=getattr(report, "models", None))
+        winner_predicted, winner_actual, models=report.models)
 
 
 def oracle_task(workload: Workload, config: HydraConfig = DEFAULT_HYDRA,
@@ -320,11 +329,11 @@ class OracleReport:
                 problems.append("%s: pipeline failed: %s"
                                 % (row.name, row.error))
                 continue
-            if getattr(row, "models", None) is not None:
+            if not row.default_models:
                 # multi-model run: the per-model STL property.  The
                 # workload-level bounds and winner ranking are
-                # calibrated against the legacy pipeline, where every
-                # loop is estimated and simulated by hydra-tls.
+                # calibrated on the default set, where every loop is
+                # estimated and simulated by hydra-tls.
                 for stl in row.stls:
                     bound = self.model_bound_for(stl.model)
                     if stl.speedup_rel_error > bound:
@@ -376,7 +385,7 @@ class OracleReport:
             if not row.ok:
                 lines.append("%-14s FAILED: %s" % (row.name, row.error))
                 continue
-            if getattr(row, "models", None) is not None:
+            if not row.default_models:
                 # per-model gate: report the worst STL-level model
                 # error against the loosest bound it was held to
                 worst = max((s.speedup_rel_error for s in row.stls),
@@ -418,15 +427,12 @@ def run_oracle(workloads: Optional[Iterable[Workload]] = None,
     processes; pass a disk-backed ``cache`` to share pipeline
     artifacts).  Failed pipelines surface as failed rows rather than
     aborting the sweep.  ``models`` (a spec accepted by
-    :func:`repro.models.resolve_models`) switches every pipeline run
-    to the multi-model argmax and the gate to the per-model bounds.
+    :func:`repro.models.resolve_models`) other than the default set
+    switches every pipeline run to the multi-model argmax and the gate
+    to the per-model bounds.
     """
-    from repro.models import resolve_models
-
-    resolved = resolve_models(models)
     fleet = list(workloads) if workloads is not None else all_workloads()
-    if resolved is not None:
-        executor_kwargs["models"] = resolved
+    executor_kwargs["models"] = resolve_models(models)
     executor = FleetExecutor(jobs=jobs, config=config, cache=cache,
                              on_error="row", task=oracle_task,
                              **executor_kwargs)

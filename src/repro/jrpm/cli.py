@@ -73,9 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--models", nargs="?", const="all",
                      metavar="A,B,...",
                      help="let each loop pick its execution model by "
-                          "estimate argmax; bare flag compares all "
-                          "registered models (see 'jrpm models'), or "
-                          "give a comma-separated subset")
+                          "estimate argmax (default: hydra-tls only); "
+                          "bare flag compares all registered models "
+                          "(see 'jrpm models'), or give a "
+                          "comma-separated subset")
 
     fleet = sub.add_parser(
         "fleet", help="run the pipeline over many workloads")

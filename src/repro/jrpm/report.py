@@ -44,7 +44,7 @@ def render_selection(report: JrpmReport, limit: int = 20) -> str:
             s.loop_id, st.cycles,
             100.0 * st.cycles / sel.total_cycles,
             st.threads, st.avg_thread_size, s.estimate.speedup,
-            getattr(s, "model", "hydra-tls")))
+            s.model))
     lines.append("%-6s %12d %8.1f%%" % (
         "serial", sel.serial_cycles,
         100.0 * sel.serial_cycles / sel.total_cycles
@@ -74,20 +74,17 @@ def render_predicted_vs_actual(report: JrpmReport) -> str:
 def render_models(report: JrpmReport) -> str:
     """Per-loop execution-model comparison: every competing model's
     estimate and the argmax winner (``jrpm run --models`` output)."""
-    requested = getattr(report, "models", None)
     sel = report.selection
-    if not requested:
-        return "(multi-model selection was not run)"
-    names = list(requested)
+    names = list(report.models)
     header = "%-6s %-11s %-9s" % ("loop", "winner", "selected")
     header += "".join(" %11s" % n[:11] for n in names)
     lines = ["execution models: " + ", ".join(names), header]
     selected_ids = {s.loop_id for s in sel.selected}
     for loop_id in sorted(sel.decisions):
         dec = sel.decisions[loop_id]
-        estimates = getattr(dec, "model_estimates", None) or {}
+        estimates = dec.model_estimates
         row = "L%-5d %-11s %-9s" % (
-            loop_id, getattr(dec, "model", "hydra-tls"),
+            loop_id, dec.model,
             "yes" if loop_id in selected_ids else "no")
         for name in names:
             est = estimates.get(name)
@@ -181,8 +178,9 @@ def render_characteristics_row(report: JrpmReport) -> str:
 
 #: bump when the JSON layout changes shape; consumers pin against it
 #: (v4: per-loop execution ``model`` in selection rows plus a nullable
-#: top-level ``models`` block for multi-model runs)
-REPORT_SCHEMA_VERSION = 4
+#: top-level ``models`` block for multi-model runs; v5: ``models`` is
+#: always present — a default run reports ``["hydra-tls"]``)
+REPORT_SCHEMA_VERSION = 5
 
 #: required top-level keys and their accepted types.  ``float`` accepts
 #: ints too (JSON has one number type); ``None`` marks nullable fields.
@@ -201,7 +199,7 @@ REPORT_SCHEMA: Dict[str, tuple] = {
     "engine": (dict, type(None)),
     "trace_jit": (dict, type(None)),
     "optimize_stats": (dict, type(None)),
-    "models": (dict, type(None)),
+    "models": (dict,),
 }
 
 #: required keys of every row in ``selection["selected"]``
@@ -248,9 +246,24 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
             "avg_iters_per_entry": st.avg_iters_per_entry,
             "avg_thread_size": st.avg_thread_size,
             "predicted_speedup": s.estimate.speedup,
-            # getattr: selections unpickled from pre-v4 cache blobs
-            # predate the attribute
-            "model": getattr(s, "model", "hydra-tls"),
+            "model": s.model,
+        })
+    per_loop = []
+    counts: Dict[str, int] = {}
+    selected_ids = {s.loop_id for s in sel.selected}
+    for loop_id in sorted(sel.decisions):
+        dec = sel.decisions[loop_id]
+        chosen = loop_id in selected_ids
+        # unselected loops stay sequential regardless of which
+        # speculative model won their estimate comparison
+        effective = dec.model if chosen else "sequential"
+        counts[effective] = counts.get(effective, 0) + 1
+        per_loop.append({
+            "loop_id": loop_id,
+            "model": dec.model,
+            "selected": chosen,
+            "estimates": {name: _finite(est.speedup)
+                          for name, est in dec.model_estimates.items()},
         })
     out: Dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -275,34 +288,12 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
         # getattr: reports unpickled from pre-v3 cache blobs predate
         # the attribute
         "optimize_stats": getattr(report, "optimize_stats", None),
-        "models": None,
-    }
-    requested = getattr(report, "models", None)
-    if requested:
-        per_loop = []
-        counts: Dict[str, int] = {}
-        selected_ids = {s.loop_id for s in sel.selected}
-        for loop_id in sorted(sel.decisions):
-            dec = sel.decisions[loop_id]
-            winner = getattr(dec, "model", "hydra-tls")
-            estimates = getattr(dec, "model_estimates", None) or {}
-            chosen = loop_id in selected_ids
-            # unselected loops stay sequential regardless of which
-            # speculative model won their estimate comparison
-            effective = winner if chosen else "sequential"
-            counts[effective] = counts.get(effective, 0) + 1
-            per_loop.append({
-                "loop_id": loop_id,
-                "model": winner,
-                "selected": chosen,
-                "estimates": {name: _finite(est.speedup)
-                              for name, est in estimates.items()},
-            })
-        out["models"] = {
-            "requested": list(requested),
+        "models": {
+            "requested": list(report.models),
             "selected_counts": counts,
             "per_loop": per_loop,
-        }
+        },
+    }
     # per-run trace-JIT counters (getattr: results unpickled from old
     # cache blobs predate the attribute); all counts are deterministic,
     # so CLI and service stay byte-identical
@@ -325,7 +316,7 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
                 "predicted_speedup": _finite(pred),
                 "actual_speedup": _finite(actual),
                 "violations_per_thread": _finite(vrate),
-                "model": getattr(s, "model", "hydra-tls"),
+                "model": s.model,
             })
         out["predicted_vs_actual"] = {
             "predicted_normalized_time":

@@ -17,9 +17,10 @@ see :mod:`repro.models`.
 """
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
-# The model the legacy (single-backend) pipeline is equivalent to.
+#: The model set a run competes when none is requested: the paper's
+#: single backend, so a default run is the paper's Eq. 2 selection.
 DEFAULT_MODEL = "hydra-tls"
 
 
@@ -96,16 +97,16 @@ def model_names():
 
 
 def resolve_models(spec):
-    # type: (Union[None, bool, str, Iterable[str]]) -> Optional[Tuple[str, ...]]
+    # type: (Union[None, bool, str, Iterable[str]]) -> Tuple[str, ...]
     """Normalize a user-facing model spec to a tuple of registered names.
 
-    ``None``/``False`` → ``None`` (legacy single-backend behaviour);
+    ``None``/``False``/``""``/``[]`` → ``(DEFAULT_MODEL,)``;
     ``True`` or ``"all"`` → every registered model; a comma-separated
     string or iterable of names → that list, validated and de-duplicated
     with order preserved.  Unknown names raise ``KeyError``.
     """
     if spec is None or spec is False:
-        return None
+        return (DEFAULT_MODEL,)
     if spec is True or spec == "all":
         return tuple(model_names())
     if isinstance(spec, str):
@@ -113,7 +114,7 @@ def resolve_models(spec):
     else:
         names = list(spec)
     if not names:
-        return None
+        return (DEFAULT_MODEL,)
     seen = []
     for name in names:
         get_model(name)  # raises on unknown names

@@ -1,8 +1,8 @@
 """The paper's execution model, wrapped as a pluggable backend.
 
-Delegates to the existing Eq. 1 estimator and the Hydra TLS trace
-simulator unchanged, so a run with models enabled produces exactly the
-numbers a legacy run produces for every loop that picks ``hydra-tls``.
+Delegates to the Eq. 1 estimator and the Hydra TLS trace simulator
+unchanged.  It is the default model set (``DEFAULT_MODEL``), so a run
+that names no models is the paper's single-backend pipeline.
 """
 
 from repro.hydra.config import DEFAULT_HYDRA

@@ -116,9 +116,10 @@ class RunResult:
             self.cycles, self.instructions, self.return_value)
 
 
-def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
-                      heap, printed, cycles, executed, limit, jenv):
-    """Handle a hot backedge target in the fast loop.
+def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots, heap,
+                 printed, cycles, executed, limit, jenv, listener=None,
+                 buf=None, frame_id=-1):
+    """Handle a hot backedge target in the fast or traced loop.
 
     The inline site has already filtered blacklisted anchors; here the
     anchor is either warming (int countdown), due for recording, or
@@ -126,20 +127,31 @@ def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
     is dispatched to the next linked trace — the loop trace at a
     backedge target, or a tail trace at a hot side exit — so control
     only returns to the generic loop when no superblock covers the
-    exit.  Returns ``(pc, cycles, executed)`` for the loop to adopt.
+    exit.  Passing ``listener`` selects the traced mode, whose
+    superblocks and recorder publish the identical event stream into
+    ``buf`` under ``frame_id``.  Returns ``(pc, cycles, executed)`` for
+    the loop to adopt.
     """
+    traced = listener is not None
+    mode = MODE_TRACED if traced else MODE_FAST
     trace = jstate[anchor]
     if trace.__class__ is int:
         if trace > 1:
             jstate[anchor] = trace - 1
             return anchor, cycles, executed
-        return record_and_link(jit, MODE_FAST, fn_name, anchor, code,
-                               costs, len(slots), slots, heap, printed,
-                               cycles, executed, limit)
-    tstate = jit.state_for(fn_name, MODE_FAST_TAIL, len(code))
+        return record_and_link(jit, mode, fn_name, anchor, code, costs,
+                               len(slots), slots, heap, printed, cycles,
+                               executed, limit, listener=listener,
+                               buf=buf, frame_id=frame_id)
+    tstate = jit.state_for(
+        fn_name, MODE_TRACED_TAIL if traced else MODE_FAST_TAIL,
+        len(code))
     state = jstate
     while True:
-        res = trace.fn(slots, cycles, executed, jenv)
+        if traced:
+            res = trace.fn(slots, cycles, executed, frame_id, jenv)
+        else:
+            res = trace.fn(slots, cycles, executed, jenv)
         delta = res[2] - executed
         trace.invocations += 1
         trace.ops += delta
@@ -169,63 +181,9 @@ def _trace_point_fast(jit, jstate, anchor, fn_name, code, costs, slots,
             if nxt > 1:
                 tstate[npc] = nxt - 1
                 return res
-            return record_and_link(jit, MODE_FAST, fn_name, npc, code,
-                                   costs, len(slots), slots, heap,
-                                   printed, cycles, executed, limit,
-                                   tail=True)
-        trace = nxt
-        state = tstate
-
-
-def _trace_point_traced(jit, jstate, anchor, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv,
-                        listener, buf, frame_id):
-    """Traced-loop twin of :func:`_trace_point_fast`: superblocks and
-    the recorder publish the identical event stream."""
-    trace = jstate[anchor]
-    if trace.__class__ is int:
-        if trace > 1:
-            jstate[anchor] = trace - 1
-            return anchor, cycles, executed
-        return record_and_link(jit, MODE_TRACED, fn_name, anchor, code,
-                               costs, len(slots), slots, heap, printed,
-                               cycles, executed, limit,
-                               listener=listener, buf=buf,
-                               frame_id=frame_id)
-    tstate = jit.state_for(fn_name, MODE_TRACED_TAIL, len(code))
-    state = jstate
-    while True:
-        res = trace.fn(slots, cycles, executed, frame_id, jenv)
-        delta = res[2] - executed
-        trace.invocations += 1
-        trace.ops += delta
-        full = delta // trace.n_ops
-        trace.iterations += full
-        if delta - full * trace.n_ops:
-            trace.aborts += 1
-        if trace.invocations == BLACKLIST_PROBE and \
-                trace.ops < BLACKLIST_PROBE * BLACKLIST_MIN_OPS:
-            jit.blacklist(state, trace.anchor)
-        if delta == 0:
-            return res
-        npc = res[0]
-        cycles = res[1]
-        executed = res[2]
-        nxt = jstate[npc]
-        if nxt is not None and nxt.__class__ is not int:
-            trace = nxt
-            state = jstate
-            continue
-        nxt = tstate[npc]
-        if nxt is None:
-            return res
-        if nxt.__class__ is int:
-            if nxt > 1:
-                tstate[npc] = nxt - 1
-                return res
-            return record_and_link(jit, MODE_TRACED, fn_name, npc, code,
-                                   costs, len(slots), slots, heap,
-                                   printed, cycles, executed, limit,
+            return record_and_link(jit, mode, fn_name, npc, code, costs,
+                                   len(slots), slots, heap, printed,
+                                   cycles, executed, limit,
                                    listener=listener, buf=buf,
                                    frame_id=frame_id, tail=True)
         trace = nxt
@@ -358,7 +316,7 @@ class Interpreter:
                 npc = ins[2] if slots[ins[1]] else ins[3]
                 if npc <= pc and jstate is not None \
                         and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point_fast(
+                    pc, cycles, executed = _trace_point(
                         jit, jstate, npc, fn_name, code, costs, slots,
                         heap, printed, cycles, executed, limit, jenv)
                 else:
@@ -367,7 +325,7 @@ class Interpreter:
                 npc = ins[1]
                 if npc <= pc and jstate is not None \
                         and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point_fast(
+                    pc, cycles, executed = _trace_point(
                         jit, jstate, npc, fn_name, code, costs, slots,
                         heap, printed, cycles, executed, limit, jenv)
                 else:
@@ -533,7 +491,7 @@ class Interpreter:
                     npc = ins[2] if slots[ins[1]] else ins[3]
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point_traced(
+                        pc, cycles, executed = _trace_point(
                             jit, jstate, npc, fn_name, code, costs,
                             slots, heap, printed, cycles, executed,
                             limit, jenv, listener, buf, frame_id)
@@ -543,7 +501,7 @@ class Interpreter:
                     npc = ins[1]
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point_traced(
+                        pc, cycles, executed = _trace_point(
                             jit, jstate, npc, fn_name, code, costs,
                             slots, heap, printed, cycles, executed,
                             limit, jenv, listener, buf, frame_id)

@@ -13,7 +13,8 @@ One request shape::
                                          #   DCE pass pipeline first
      "models":   ["hydra-tls", ...],     # optional: per-loop execution-
                                          #   model argmax over these
-                                         #   registered models
+                                         #   registered models (default
+                                         #   and [] mean ["hydra-tls"])
      "fresh":    false}                  # optional: bypass the result
                                          #   cache (recompute)
 
@@ -39,6 +40,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.hydra.config import HydraConfig
 from repro.jit.annotate import AnnotationLevel
 from repro.jrpm.cache import cache_key
+from repro.models import model_names, resolve_models
 from repro.workloads.registry import Workload, get_workload, workload_names
 
 #: request stages a client may name; "profile" (compile + annotate +
@@ -115,7 +117,7 @@ class AnalyzeRequest:
                  level: AnnotationLevel = AnnotationLevel.OPTIMIZED,
                  extended: bool = False,
                  optimize: bool = False,
-                 models: Optional[Tuple[str, ...]] = None,
+                 models=None,
                  fresh: bool = False):
         self.workload = workload
         self.config = config
@@ -125,8 +127,9 @@ class AnalyzeRequest:
         self.level = level
         self.extended = extended
         self.optimize = optimize
-        #: execution models competing per loop (None = legacy)
-        self.models = models
+        #: execution models competing per loop, resolved so every
+        #: spelling of one model set shares one key
+        self.models = resolve_models(models)
         #: bypass the scheduler's result cache (still coalesces with
         #: concurrent identical requests and fills the cache)
         self.fresh = fresh
@@ -155,7 +158,7 @@ class AnalyzeRequest:
             "level": self.level.value,
             "extended": self.extended,
             "optimize": self.optimize,
-            "models": list(self.models) if self.models else None,
+            "models": list(self.models),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -201,14 +204,12 @@ def _parse_stages(raw: Any) -> bool:
     return "tls" in raw
 
 
-def _parse_models(raw: Any) -> Optional[Tuple[str, ...]]:
-    if raw is None:
-        return None
-    if not isinstance(raw, list) \
-            or not all(isinstance(m, str) and m for m in raw):
+def _parse_models(raw: Any) -> Tuple[str, ...]:
+    if raw is not None and (
+            not isinstance(raw, list)
+            or not all(isinstance(m, str) and m for m in raw)):
         raise ProtocolError(
             "'models' must be a list of execution-model names")
-    from repro.models import model_names, resolve_models
     try:
         return resolve_models(raw)
     except KeyError:

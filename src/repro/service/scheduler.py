@@ -430,19 +430,14 @@ class RequestScheduler:
             self.metrics.inc("optimize_%s" % key, value)
 
     def _merge_models(self, report) -> None:
-        """Fold one multi-model report's per-loop winners into the
-        service metrics (surfaced on /metrics as ``model_selected_*``
-        and ``model_won_*``): how often each execution model won the
+        """Fold one report's per-loop winners into the service metrics
+        (surfaced on /metrics as ``model_selected_*`` and
+        ``model_won_*``): how often each execution model won the
         argmax, and how often its winner was actually scheduled."""
-        if getattr(report, "models", None) is None:
-            return
-        selection = getattr(report, "selection", None)
-        if selection is None:
-            return
+        selection = report.selection
         chosen = {s.loop_id for s in selection.selected}
         for loop_id in sorted(selection.decisions):
-            decision = selection.decisions[loop_id]
-            winner = getattr(decision, "model", "hydra-tls")
+            winner = selection.decisions[loop_id].model
             self.metrics.inc("model_won_%s" % winner)
             if loop_id in chosen:
                 self.metrics.inc("model_selected_%s" % winner)

@@ -1,14 +1,15 @@
 """Per-family estimator error atlas over the synthetic corpus.
 
-PR 9 calibrated the conformance oracle's bounds against the 26-row
+The conformance oracle's bounds are calibrated against the 26-row
 Table 6 corpus.  The synthesizer's value as a *test* is mapping where
 those bounds hold and where they break: each instance runs through the
-pipeline twice — once legacy (hydra-tls everywhere, the path the
-workload-level bounds gate) and once under the multi-model argmax
-(the path :data:`~repro.conformance.oracle.MODEL_ERROR_BOUNDS`
-gates) — and the atlas aggregates the errors per family:
+pipeline twice — once with the default model set (hydra-tls
+everywhere, the path the workload-level bounds gate; the ``legacy``
+row) and once under the multi-model argmax (the path
+:data:`~repro.conformance.oracle.MODEL_ERROR_BOUNDS` gates) — and the
+atlas aggregates the errors per family:
 
-* **legacy workload-level error** — |pred - act| / act on the
+* **default-set workload-level error** — |pred - act| / act on the
   whole-program speedup, the quantity
   :data:`~repro.conformance.oracle.WORKLOAD_ERROR_BOUNDS` bounds for
   the bundled corpus;
@@ -23,8 +24,10 @@ fallback applied to unmeasured programs) are flagged as **bound
 breakers**: programs where Equation 1's analytic model diverges from
 the simulator.  The chase family is built to be one — every-iteration
 heap-carried violations on a tiny thread body are misspeculation the
-estimator's arc-separation model never sees, the same mechanism as
-the documented BitOps outlier.  :data:`FAMILY_ERROR_BOUNDS` records
+estimator's arc-separation model never sees.  (The bundled BitOps
+outlier breaks its bound by a different mechanism: it rarely
+misspeculates, but its threads vary ~100x in size, a load imbalance
+Equation 1's mean thread size hides.)  :data:`FAMILY_ERROR_BOUNDS` records
 each family's measured ceiling (with headroom) so ``jrpm conform
 --synth`` can gate the corpus without the fallback bound failing the
 intentional breakers.
@@ -47,7 +50,7 @@ from repro.jrpm.pipeline import Jrpm
 from repro.synth.oracle import check_label
 from repro.workloads.registry import SYNTHETIC
 
-#: measured per-family ceilings on the *legacy* workload-level error
+#: measured per-family ceilings on the default-set workload-level error
 #: (|pred - act| / act on whole-program speedup), with ~1.5x headroom
 #: over the default-corpus measurement — the synthetic analogue of
 #: WORKLOAD_ERROR_BOUNDS.  Measured values are in EXPERIMENTS.md
@@ -87,7 +90,7 @@ class AtlasRow:
         self.name = name
         self.family = family
         self.expected_class = expected_class
-        #: WorkloadConformance from the legacy (hydra-tls) pipeline
+        #: WorkloadConformance from the default-set (hydra-tls) run
         self.legacy = legacy_row
         #: WorkloadConformance from the multi-model argmax pipeline
         self.argmax = argmax_row
@@ -96,7 +99,7 @@ class AtlasRow:
 
     @property
     def legacy_error(self) -> float:
-        """Workload-level |pred - act| / act, legacy pipeline."""
+        """Workload-level |pred - act| / act, default-set run."""
         return self.legacy.rel_error
 
     @property
@@ -136,7 +139,7 @@ class AtlasRow:
 def atlas_task(workload, config: HydraConfig = DEFAULT_HYDRA,
                simulate_tls: bool = True, cache=None,
                **jrpm_kwargs) -> AtlasRow:
-    """Fleet task: one instance, both pipelines, one atlas row.
+    """Fleet task: one instance, both model sets, one atlas row.
 
     The two runs share ``cache`` — the cached stages (compile,
     annotate, sequential, profile) are model-independent, so the
@@ -189,7 +192,7 @@ class FamilyStats:
 
     @property
     def over_fallback(self) -> int:
-        """Instances whose legacy error exceeds the 40% fallback bound
+        """Instances whose default-set error exceeds the 40% fallback bound
         the conformance oracle applies to unmeasured programs."""
         return sum(1 for e in self.errors if e > self.fallback_bound)
 
@@ -287,7 +290,7 @@ class ErrorAtlas:
         return self.family_bounds.get(family, self.fallback_bound)
 
     def violations(self) -> List[str]:
-        """The synthetic conformance gate: per-instance legacy error
+        """The synthetic conformance gate: per-instance default-set error
         within its family's measured bound, per-model STL errors
         within the model bounds, and every label satisfied."""
         problems: List[str] = []

@@ -320,8 +320,8 @@ class ChaseFamily(Family):
     loads first and stores last.  The tiny thread bodies are also the
     family's reason to exist in the atlas: Equation 1 models the chain
     as arc-separation delay, while the TLS simulator pays a restart per
-    violated thread — the same mismatch class as the BitOps outlier —
-    so this family is where the 40% fallback bound measurably breaks.
+    violated thread, so this family is where the 40% fallback bound
+    measurably breaks.
     """
 
     name = "chase"

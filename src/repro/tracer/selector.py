@@ -18,11 +18,11 @@ the optimal antichain of decompositions and the program-level breakdown
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.hydra.config import DEFAULT_HYDRA, HydraConfig
 from repro.tracer.device import TestDevice
-from repro.tracer.estimator import SpeedupEstimate, estimate_speedup
+from repro.tracer.estimator import SpeedupEstimate
 from repro.tracer.stats import STLStats
 
 
@@ -31,15 +31,13 @@ class LoopDecision:
 
     ``estimate`` is the winning model's estimate and ``model`` its
     registry name; ``model_estimates`` maps every competing model's
-    name to its estimate when a multi-model selection ran (``None`` in
-    legacy single-backend runs).  Model *names*, not model instances,
-    are stored so decisions stay picklable across the worker pool.
+    name to its estimate.  Model *names*, not model instances, are
+    stored so decisions stay picklable across the worker pool.
     """
 
     def __init__(self, loop_id: int, stats: STLStats,
-                 estimate: SpeedupEstimate,
-                 model: str = "hydra-tls",
-                 model_estimates: Optional[Dict[str, object]] = None):
+                 estimate: SpeedupEstimate, model: str,
+                 model_estimates: Dict[str, object]):
         self.loop_id = loop_id
         self.stats = stats
         self.estimate = estimate
@@ -70,8 +68,8 @@ class SelectedSTL:
         self.loop_id = decision.loop_id
         self.stats = decision.stats
         self.estimate = decision.estimate
-        self.model = getattr(decision, "model", "hydra-tls")
-        self.model_estimates = getattr(decision, "model_estimates", None)
+        self.model = decision.model
+        self.model_estimates = decision.model_estimates
 
     @property
     def sequential_cycles(self) -> int:
@@ -92,14 +90,14 @@ class SelectionResult:
     def __init__(self, selected: List[SelectedSTL],
                  decisions: Dict[int, LoopDecision],
                  total_cycles: int,
-                 models: Optional[tuple] = None):
+                 models: tuple):
         #: chosen STLs, by descending sequential coverage
         self.selected = selected
         #: every profiled loop's decision record
         self.decisions = decisions
         #: whole-program sequential cycles
         self.total_cycles = total_cycles
-        #: model names that competed (None = legacy hydra-tls-only run)
+        #: model names that competed for every loop
         self.models = models
 
     @property
@@ -154,31 +152,22 @@ def select_stls(device: TestDevice, total_cycles: int,
     decomposition stays sequential).  ``min_cycles`` drops loops with
     negligible measured time.
 
-    ``models`` generalizes Eq. 2 to multiple execution models: pass a
-    spec accepted by :func:`repro.models.resolve_models` and every
-    loop's estimate becomes an argmax over the named models (ties go
-    to registration order), before the nest DP runs unchanged on the
-    per-loop winners.  ``None`` keeps the legacy single-backend
-    behaviour bit-for-bit.
+    ``models`` is a spec accepted by
+    :func:`repro.models.resolve_models` (default: the paper's single
+    backend, ``hydra-tls``).  Every loop's estimate is an argmax over
+    the named models (ties go to registration order), before the nest
+    DP runs unchanged on the per-loop winners.
     """
-    model_list = None
-    resolved = None
-    if models is not None:
-        # late import: repro.models imports the estimator/simulator,
-        # so importing it at module level would cycle
-        from repro.models import get_model, resolve_models
-        resolved = resolve_models(models)
-        if resolved:
-            model_list = [(name, get_model(name)) for name in resolved]
+    # late import: repro.models imports the estimator/simulator, so
+    # importing it at module level would cycle
+    from repro.models import get_model, resolve_models
+    resolved = resolve_models(models)
+    model_list = [(name, get_model(name)) for name in resolved]
 
     decisions: Dict[int, LoopDecision] = {}
     for loop_id, stats in device.stats.items():
         if stats.cycles < min_cycles or stats.threads == 0 \
                 or stats.profiled_threads == 0:
-            continue
-        if model_list is None:
-            decisions[loop_id] = LoopDecision(
-                loop_id, stats, estimate_speedup(stats, config))
             continue
         estimates = {name: model.estimate(stats, config)
                      for name, model in model_list}

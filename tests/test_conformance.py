@@ -20,11 +20,15 @@ from repro.conformance.invariants import KIND_CRASH
 from repro.conformance.oracle import (
     DEFAULT_ERROR_BOUND,
     KNOWN_WINNER_MISMATCHES,
+    OracleReport,
+    STLConformance,
+    WorkloadConformance,
     conformance_row,
 )
 from repro.fuzz import generate_program
 from repro.hydra import HydraConfig
 from repro.lang import compile_source
+from repro.models import DEFAULT_MODEL
 from repro.tls.simulator import TLSResult
 from repro.tracer.stats import STLStats
 from repro.workloads import get_workload
@@ -161,6 +165,35 @@ class TestOracle:
             assert set(w) >= {"name", "predicted_speedup",
                               "actual_speedup", "rel_error",
                               "winner_match", "stls"}
+
+    def test_default_run_keeps_workload_gate(self, report):
+        """A plain oracle run competes the default model set, so the
+        workload-level bounds and the winner check still gate it."""
+        assert all(r.models == (DEFAULT_MODEL,) for r in report.rows)
+        over = OracleReport(report.rows, DEFAULT_ERROR_BOUND,
+                            workload_bounds={"IDEA": 0.0})
+        assert any(v.startswith("IDEA: prediction error")
+                   for v in over.violations())
+
+        def row(models):
+            stls = [STLConformance(1, 100.0, 60, 200),
+                    STLConformance(2, 50.0, 90, 200)]
+            return WorkloadConformance(
+                "w", "synthetic", 3.0, 1.5, 0.5, stls,
+                winner_predicted=2, winner_actual=1, models=models)
+
+        gate = OracleReport([row((DEFAULT_MODEL,))], 0.40,
+                            workload_bounds={}, known_mismatches=set())
+        problems = gate.violations()
+        assert any("prediction error 100.0%" in p for p in problems)
+        assert any("estimator winner L2" in p for p in problems)
+        # any other model set is held to the per-model STL bounds only
+        multi = OracleReport([row(("hydra-tls", "doacross"))], 0.40,
+                             workload_bounds={}, known_mismatches=set())
+        problems = multi.violations()
+        assert problems == ["w L2 (hydra-tls): model prediction error "
+                            "80.0% exceeds the 55.0% bound (predicted "
+                            "4.00x, actual 2.22x)"]
 
     def test_render_mentions_every_workload(self, report):
         text = report.render()

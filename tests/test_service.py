@@ -50,7 +50,8 @@ def _fake_report(name):
                           "selected": []},
             "predicted_vs_actual": None, "engine": None,
             "trace_jit": None, "optimize_stats": None,
-            "models": None}
+            "models": {"requested": ["hydra-tls"],
+                       "selected_counts": {}, "per_loop": []}}
 
 
 def _request(port: int, method: str, path: str, body=None,
@@ -105,6 +106,20 @@ class TestProtocol:
         # cache), so fresh requests still coalesce with others
         d = parse_analyze_request(_body(workload="Huffman", fresh=True))
         assert a.key == d.key
+
+    def test_default_model_set_has_one_key(self):
+        # omitted, empty and explicit default model sets are the same
+        # computation: one result-LRU entry, one hash-ring route
+        reqs = [parse_analyze_request(_body(workload="Huffman", **kw))
+                for kw in ({}, {"models": []},
+                           {"models": ["hydra-tls"]})]
+        assert len({r.key for r in reqs}) == 1
+        assert len({r.profile_key for r in reqs}) == 1
+        for req in reqs:
+            assert req.describe()["models"] == ["hydra-tls"]
+        other = parse_analyze_request(_body(
+            workload="Huffman", models=["hydra-tls", "doacross"]))
+        assert other.key != reqs[0].key
 
     def test_profile_key_groups_compatible_requests(self):
         a = parse_analyze_request(_body(workload="Huffman"))

@@ -123,21 +123,16 @@ class TestSimulationEquivalence:
                 cols = engine.simulate(comp, config)
                 assert vars(rows) == vars(cols), (lid, config)
 
-    def test_pipeline_outcomes_identical(self):
-        reports = {
-            columnar: Jrpm(source=HUFFMAN_SOURCE, name="hn",
-                           columnar=columnar).run()
-            for columnar in (False, True)
-        }
-        legacy, engine = reports[False], reports[True]
-        assert engine.engine is not None and legacy.engine is None
-        assert set(legacy.tls_results) == set(engine.tls_results)
-        for lid, rows in legacy.tls_results.items():
-            assert vars(rows) == vars(engine.tls_results[lid])
-        assert legacy.outcome.actual_normalized_time == \
-            engine.outcome.actual_normalized_time
-        assert legacy.outcome.predicted_normalized_time == \
-            engine.outcome.predicted_normalized_time
+    def test_pipeline_replay_matches_engine(self):
+        """A default run's stage-5 results equal a fresh engine's
+        replay of the run's own recording."""
+        report = Jrpm(source=HUFFMAN_SOURCE, name="hn").run()
+        assert report.tls_results
+        engine = TraceEngine(report.recording)
+        for lid, result in report.tls_results.items():
+            ref = engine.simulate(report.compilations[lid],
+                                  HydraConfig())
+            assert vars(result) == vars(ref), lid
 
 
 class TestMemoDeterminism:
