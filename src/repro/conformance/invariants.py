@@ -6,15 +6,15 @@ One generated (or hand-written) program is executed along six paths:
    takes the memoized dispatch fast path (trace JIT forced off: this
    is the reference semantics);
 2. **traced** — the same program with a no-op :class:`TraceListener`,
-   forcing the instrumented dispatch loop (trace JIT off);
+   forcing the dispatch loop's event-publishing mode (trace JIT off);
 3. **annotated** — TEST annotations at ``OPTIMIZED`` level with the
    profiling device and a columnar recording attached;
 4. **optimized** — the microJIT scalar optimizer applied to a copy;
 5. **trace JIT** — the superblock JIT enabled with an aggressive
    hotness threshold, in all three configurations (fast, no-op
    listener, annotated+device), asserting *exact* cycle, instruction,
-   return-value, heap, print, and event-count agreement with the
-   matching JIT-off path;
+   return-value, heap, print, and event-stream (every column and mark)
+   agreement with the matching JIT-off path;
 6. **DOACROSS** — every selected STL re-simulated under the post/wait
    execution model from the same trace the TLS simulator consumed,
    asserting the shared timing invariants, exact sequential-cycle
@@ -298,6 +298,18 @@ def check_source(source: str, seed: Optional[int] = None,
                   jit_profiled.instructions, len(jit_recording),
                   profiled.return_value, profiled.cycles,
                   profiled.instructions, len(recording)), seed)
+    # the whole published stream, not just its length: a wrong event
+    # address or timestamp keeps the count
+    for column in ("kinds", "cycles", "addresses", "marks"):
+        got = getattr(jit_recording, column)
+        want = getattr(recording, column)
+        if got != want:
+            first = next((i for i, (a, b) in enumerate(zip(got, want))
+                          if a != b), min(len(got), len(want)))
+            _raise(KIND_TRACE_JIT,
+                   "annotated jit %s[%d:]=%r reference %r"
+                   % (column, first, list(got[first:first + 1]),
+                      list(want[first:first + 1])), seed)
     for jit_run in (jit_fast, jit_traced, jit_profiled):
         if jit_run.jit is not None:
             outcome.jit_traces += jit_run.jit["traces_linked"]

@@ -3,69 +3,38 @@
 Figure 6 decomposes the annotated run's slowdown into three components:
 statistics reads ("Read Counters"), local-variable annotations
 ("Locals"), and loop-marker annotations ("Annotations").  The
-:class:`AnnotationCounter` listener tallies executed annotation
-instructions; combined with the cost model this reproduces the stacked
-bars for both the base and optimized annotation levels.
+:class:`AnnotationCounter` record holds the executed annotation
+instructions per category; combined with the cost model this
+reproduces the stacked bars for both the base and optimized annotation
+levels.
 """
 
 from __future__ import annotations
 
 from repro.bytecode.opcodes import Op
 from repro.runtime.costs import DEFAULT_COSTS, CostModel
-from repro.runtime.events import TraceListener
 
 
-class AnnotationCounter(TraceListener):
-    """Counts executed annotation instructions by category."""
+class AnnotationCounter:
+    """Executed annotation instructions by category, read off a
+    :class:`~repro.tracer.device.TestDevice` that saw the whole run."""
 
-    def __init__(self):
-        self.lwl = 0
-        self.swl = 0
-        self.sloop = 0
-        self.eoi = 0
-        self.eloop = 0
-        self.readstats = 0
-
-    def on_local_load(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.lwl += 1
-
-    def on_local_store(self, frame_id, slot, cycle, fn="", pc=-1):
-        self.swl += 1
-
-    def on_sloop(self, loop_id, n_locals, cycle, frame_id=-1):
-        self.sloop += 1
-
-    def on_eoi(self, loop_id, cycle):
-        self.eoi += 1
-
-    def on_eloop(self, loop_id, cycle):
-        self.eloop += 1
-
-    def on_readstats(self, loop_id, cycle):
-        self.readstats += 1
-
-    def on_mem_batch(self, events):
-        for ev in events:
-            kind = ev[0]
-            if kind == "lld":
-                self.lwl += 1
-            elif kind == "lst":
-                self.swl += 1
+    def __init__(self, lwl: int = 0, swl: int = 0, sloop: int = 0,
+                 eoi: int = 0, eloop: int = 0, readstats: int = 0):
+        self.lwl = lwl
+        self.swl = swl
+        self.sloop = sloop
+        self.eoi = eoi
+        self.eloop = eloop
+        self.readstats = readstats
 
     @classmethod
     def from_device(cls, device) -> "AnnotationCounter":
-        """Annotation tallies read off a :class:`TestDevice` that saw
-        the whole run — the device already counts every category, so
-        profiled runs need no separate counting listener in the event
-        fan-out."""
-        counter = cls()
-        counter.lwl = device.n_local_loads
-        counter.swl = device.n_local_stores
-        counter.sloop = device.n_sloop
-        counter.eoi = device.n_eoi
-        counter.eloop = device.n_eloop
-        counter.readstats = device.n_readstats
-        return counter
+        """The device already counts every category, so profiled runs
+        need no separate counting listener in the event fan-out."""
+        return cls(device.n_local_loads, device.n_local_stores,
+                   device.n_sloop, device.n_eoi, device.n_eloop,
+                   device.n_readstats)
 
 
 class SlowdownBreakdown:

@@ -15,15 +15,23 @@ Design notes
   with the opcode as a plain int, alongside a flat cycle-cost list.
   The hot loop dispatches on the precomputed int — no per-instruction
   attribute lookups, no enum comparisons.
-* Two specialized execution loops share that decoded form:
-  ``_run_fast`` (no listener) strips every piece of event plumbing —
-  annotation opcodes reduce to a cost charge and a pc bump — and is the
-  path plain sequential runs take; ``_run_traced`` publishes trace
-  events, batching memory events (heap *and* annotated locals) into one
-  ordered buffer that is delivered via
-  :meth:`~repro.runtime.events.TraceListener.on_mem_batch` and flushed
-  before every loop marker, so per-event Python call overhead is paid
-  once per batch instead of once per access.
+* One dispatch loop, :meth:`Interpreter._run`, is the only place the
+  interpreter gives bytecode its meaning.  Whether a listener is
+  attached is fixed once per run in the local ``traced``; with no
+  listener, annotation opcodes reduce to a cost charge and a pc bump,
+  and with one, the loop publishes trace events.  Memory events (heap
+  *and* annotated locals) go into one ordered buffer that is delivered
+  via :meth:`~repro.runtime.events.TraceListener.on_mem_batch` and
+  flushed before every loop marker, so per-event Python call overhead
+  is paid once per batch instead of once per access.  A heap event
+  carries the address of the element accessed, computed before a load
+  overwrites its destination slot (``p = nxt[p]`` reports ``nxt[p]``
+  of the old ``p``).
+* Trace-JIT recording (:mod:`repro.runtime.tracejit`) rides on the
+  same loop: while a :class:`~repro.runtime.tracejit.Recording` is
+  live, the loop executes as usual and only reports branches, calls,
+  returns and listener calls to it, so the recorder never re-implements
+  an opcode.
 * The cycle counter only ever increases, so the event stream (and each
   batch) is emitted in non-decreasing cycle order.  The columnar trace
   engine depends on this invariant: ``ColumnarRecording`` appends
@@ -54,13 +62,13 @@ from repro.runtime.tracejit import (
     MODE_FAST_TAIL,
     MODE_TRACED,
     MODE_TRACED_TAIL,
+    Recording,
     TraceJIT,
-    record_and_link,
     resolve_trace_jit,
 )
 from repro.runtime.values import apply_binop, apply_intrinsic, apply_unop
 
-# plain-int opcodes for the dispatch loops (enum compares are slow)
+# plain-int opcodes for the dispatch loop (enum compares are slow)
 _CONST = int(Op.CONST)
 _MOV = int(Op.MOV)
 _BIN = int(Op.BIN)
@@ -82,10 +90,6 @@ _SWL = int(Op.SWL)
 _READSTATS = int(Op.READSTATS)
 _PRINT = int(Op.PRINT)
 _NOP = int(Op.NOP)
-
-#: memory events buffered before delivery in the traced loop (shared
-#: with the trace JIT so superblocks flush at identical points)
-_FLUSH_AT = FLUSH_AT
 
 
 def _decode_one(ins) -> tuple:
@@ -116,10 +120,9 @@ class RunResult:
             self.cycles, self.instructions, self.return_value)
 
 
-def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots, heap,
-                 printed, cycles, executed, limit, jenv, listener=None,
-                 buf=None, frame_id=-1):
-    """Handle a hot backedge target in the fast or traced loop.
+def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots,
+                 cycles, executed, jenv, traced, frame_id):
+    """Handle a hot backedge target in the dispatch loop.
 
     The inline site has already filtered blacklisted anchors; here the
     anchor is either warming (int countdown), due for recording, or
@@ -127,22 +130,19 @@ def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots, heap,
     is dispatched to the next linked trace — the loop trace at a
     backedge target, or a tail trace at a hot side exit — so control
     only returns to the generic loop when no superblock covers the
-    exit.  Passing ``listener`` selects the traced mode, whose
-    superblocks and recorder publish the identical event stream into
-    ``buf`` under ``frame_id``.  Returns ``(pc, cycles, executed)`` for
-    the loop to adopt.
+    exit.  ``traced`` selects the superblocks that publish the
+    identical event stream under ``frame_id``.  Returns ``(pc, cycles,
+    executed, recording)`` for the loop to adopt; ``recording`` is a
+    :class:`Recording` to drive from the resume pc, or ``None``.
     """
-    traced = listener is not None
     mode = MODE_TRACED if traced else MODE_FAST
     trace = jstate[anchor]
     if trace.__class__ is int:
         if trace > 1:
             jstate[anchor] = trace - 1
-            return anchor, cycles, executed
-        return record_and_link(jit, mode, fn_name, anchor, code, costs,
-                               len(slots), slots, heap, printed, cycles,
-                               executed, limit, listener=listener,
-                               buf=buf, frame_id=frame_id)
+            return anchor, cycles, executed, None
+        return anchor, cycles, executed, Recording(
+            jit, mode, fn_name, anchor, code, costs, len(slots), executed)
     tstate = jit.state_for(
         fn_name, MODE_TRACED_TAIL if traced else MODE_FAST_TAIL,
         len(code))
@@ -162,13 +162,11 @@ def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots, heap,
         if trace.invocations == BLACKLIST_PROBE and \
                 trace.ops < BLACKLIST_PROBE * BLACKLIST_MIN_OPS:
             jit.blacklist(state, trace.anchor)
+        npc, cycles, executed = res
         if delta == 0:
             # budget exit: no progress was committed, so chaining would
             # spin — the generic loop re-executes and raises exactly
-            return res
-        npc = res[0]
-        cycles = res[1]
-        executed = res[2]
+            return npc, cycles, executed, None
         nxt = jstate[npc]
         if nxt is not None and nxt.__class__ is not int:
             trace = nxt
@@ -176,16 +174,14 @@ def _trace_point(jit, jstate, anchor, fn_name, code, costs, slots, heap,
             continue
         nxt = tstate[npc]
         if nxt is None:
-            return res
+            return npc, cycles, executed, None
         if nxt.__class__ is int:
             if nxt > 1:
                 tstate[npc] = nxt - 1
-                return res
-            return record_and_link(jit, mode, fn_name, npc, code, costs,
-                                   len(slots), slots, heap, printed,
-                                   cycles, executed, limit,
-                                   listener=listener, buf=buf,
-                                   frame_id=frame_id, tail=True)
+                return npc, cycles, executed, None
+            return npc, cycles, executed, Recording(
+                jit, mode, fn_name, npc, code, costs, len(slots),
+                executed, tail=True)
         trace = nxt
         state = tstate
 
@@ -252,13 +248,10 @@ class Interpreter:
 
     def run(self) -> RunResult:
         """Execute from the entry function to completion."""
-        if self.listener is None:
-            return self._run_fast()
-        return self._run_traced()
+        return self._run(self.listener)
 
-    # -- fast path: no listener attached ---------------------------------
-
-    def _run_fast(self) -> RunResult:
+    def _run(self, listener: Optional[TraceListener]) -> RunResult:
+        traced = listener is not None
         heap = Heap()
         printed: List = []
         functions = self.program.functions
@@ -270,166 +263,8 @@ class Interpreter:
         slots = [0] * entry.n_slots
         dst = -1
         pc = 0
-        #: (code, costs, slots, return pc, dst, fn_name, jstate)
-        stack: List[tuple] = []
-
-        cycles = 0
-        executed = 0
-        limit = self.max_instructions
-
-        heap_load = heap.load
-        heap_store = heap.store
-
-        jit = self._jit
-        if jit is not None:
-            jstate = jit.state_for(fn_name, MODE_FAST, len(code))
-            jenv = (limit, heap_load, heap_store, heap.allocate,
-                    heap.length, printed)
-        else:
-            jstate = None
-            jenv = None
-
-        while True:
-            ins = code[pc]
-            op = ins[0]
-            cycles += costs[pc]
-            executed += 1
-            if executed > limit:
-                raise ExecutionError(
-                    "instruction budget exceeded (%d)" % limit,
-                    pc, fn_name)
-            if op == _BIN:
-                try:
-                    slots[ins[1]] = apply_binop(
-                        ins[4], slots[ins[2]], slots[ins[3]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _CONST:
-                slots[ins[1]] = ins[5]
-                pc += 1
-            elif op == _MOV:
-                slots[ins[1]] = slots[ins[2]]
-                pc += 1
-            elif op == _BR:
-                npc = ins[2] if slots[ins[1]] else ins[3]
-                if npc <= pc and jstate is not None \
-                        and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point(
-                        jit, jstate, npc, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv)
-                else:
-                    pc = npc
-            elif op == _JMP:
-                npc = ins[1]
-                if npc <= pc and jstate is not None \
-                        and jstate[npc] is not None:
-                    pc, cycles, executed = _trace_point(
-                        jit, jstate, npc, fn_name, code, costs, slots,
-                        heap, printed, cycles, executed, limit, jenv)
-                else:
-                    pc = npc
-            elif op == _ALOAD:
-                try:
-                    slots[ins[1]] = heap_load(slots[ins[2]], slots[ins[3]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _ASTORE:
-                try:
-                    heap_store(slots[ins[1]], slots[ins[2]], slots[ins[3]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _UN:
-                try:
-                    slots[ins[1]] = apply_unop(ins[4], slots[ins[2]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _NEWARR:
-                try:
-                    slots[ins[1]] = heap.allocate(slots[ins[2]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _LEN:
-                try:
-                    slots[ins[1]] = heap.length(slots[ins[2]])
-                except HeapError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _INTRIN:
-                try:
-                    slots[ins[1]] = apply_intrinsic(
-                        ins[6], [slots[s] for s in ins[7]])
-                except ExecutionError as exc:
-                    raise ExecutionError(
-                        str(exc), pc, fn_name) from None
-                pc += 1
-            elif op == _CALL:
-                callee = functions.get(ins[6])
-                if callee is None:
-                    raise ExecutionError(
-                        "call to unknown function %r" % ins[6],
-                        pc, fn_name)
-                new_slots = [0] * callee.n_slots
-                for i, arg_slot in enumerate(ins[7]):
-                    new_slots[i] = slots[arg_slot]
-                stack.append((code, costs, slots, pc + 1, dst, fn_name,
-                              jstate))
-                dst = ins[1]
-                fn_name = callee.name
-                code = self._decoded_for(callee)
-                costs = self._costs_for(callee)
-                slots = new_slots
-                pc = 0
-                if jit is not None:
-                    jstate = jit.state_for(fn_name, MODE_FAST, len(code))
-            elif op == _RET:
-                value = slots[ins[1]] if ins[1] >= 0 else None
-                if not stack:
-                    return RunResult(
-                        cycles, executed, value, heap, printed,
-                        None if jit is None else jit.snapshot())
-                (code, costs, slots, pc, ret_dst, fn_name,
-                 jstate) = stack.pop()
-                if dst >= 0:
-                    slots[dst] = value
-                dst = ret_dst
-            elif op == _PRINT:
-                printed.append(slots[ins[1]])
-                pc += 1
-            elif op == _NOP or op >= _SLOOP:
-                # annotations are pure cost with no listener attached
-                pc += 1
-            else:  # pragma: no cover - exhaustive
-                raise ExecutionError("unknown opcode %r" % op, pc, fn_name)
-
-    # -- traced path: publish events to the listener ---------------------
-
-    def _run_traced(self) -> RunResult:
-        heap = Heap()
-        printed: List = []
-        listener = self.listener
-        functions = self.program.functions
-        next_frame_id = 0
-
-        entry = self.program.main
-        fn_name = entry.name
-        code = self._decoded_for(entry)
-        costs = self._costs_for(entry)
-        slots = [0] * entry.n_slots
-        dst = -1
-        pc = 0
-        frame_id = next_frame_id
-        next_frame_id += 1
+        frame_id = 0
+        next_frame_id = 1
         #: (code, costs, slots, return pc, dst, fn_name, frame_id,
         #: jstate)
         stack: List[tuple] = []
@@ -440,28 +275,41 @@ class Interpreter:
 
         heap_load = heap.load
         heap_store = heap.store
-        heap_address = heap.address
-        on_mem_batch = listener.on_mem_batch
-        flush_at = _FLUSH_AT
+        heap_load_addr = heap.load_addr
+        heap_store_addr = heap.store_addr
+        flush_at = FLUSH_AT
 
         # one ordered buffer for heap AND local memory events; flushed
         # before every loop marker so listeners observe the exact event
         # order the unbatched interface delivered
         buf: List[tuple] = []
         buf_append = buf.append
+        if traced:
+            on_mem_batch = listener.on_mem_batch
+            mode = MODE_TRACED
+        else:
+            mode = MODE_FAST
 
         jit = self._jit
-        if jit is not None:
-            jstate = jit.state_for(fn_name, MODE_TRACED, len(code))
-            # superblocks share buf by identity (cleared, never
-            # rebound), so events they append survive the finally flush
-            jenv = (limit, heap.load_addr, heap.store_addr,
-                    heap.allocate, heap.length, printed, buf, buf_append,
-                    on_mem_batch, listener.on_sloop, listener.on_eoi,
-                    listener.on_eloop, listener.on_readstats)
-        else:
+        #: the in-flight trace recording, if any (see _trace_point)
+        rec = None
+        if jit is None:
             jstate = None
             jenv = None
+        else:
+            jstate = jit.state_for(fn_name, mode, len(code))
+            if traced:
+                # superblocks share buf by identity (cleared, never
+                # rebound), so events they append survive the finally
+                # flush
+                jenv = (limit, heap_load_addr, heap_store_addr,
+                        heap.allocate, heap.length, printed, buf,
+                        buf_append, on_mem_batch, listener.on_sloop,
+                        listener.on_eoi, listener.on_eloop,
+                        listener.on_readstats)
+            else:
+                jenv = (limit, heap_load, heap_store, heap.allocate,
+                        heap.length, printed)
 
         try:
             while True:
@@ -487,53 +335,67 @@ class Interpreter:
                 elif op == _MOV:
                     slots[ins[1]] = slots[ins[2]]
                     pc += 1
-                elif op == _BR:
-                    npc = ins[2] if slots[ins[1]] else ins[3]
-                    if npc <= pc and jstate is not None \
-                            and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point(
-                            jit, jstate, npc, fn_name, code, costs,
-                            slots, heap, printed, cycles, executed,
-                            limit, jenv, listener, buf, frame_id)
+                elif op == _BR or op == _JMP:
+                    if op == _JMP:
+                        npc = ins[1]
                     else:
-                        pc = npc
-                elif op == _JMP:
-                    npc = ins[1]
+                        npc = ins[2] if slots[ins[1]] else ins[3]
+                    if rec is not None:
+                        if rec.over_limit(executed):
+                            rec = None
+                        elif rec.branch(pc, npc, None if op == _JMP
+                                        else bool(slots[ins[1]])):
+                            # the recording ended at this backedge and
+                            # consumed it: no trace-point dispatch
+                            rec = None
+                            pc = npc
+                            continue
                     if npc <= pc and jstate is not None \
                             and jstate[npc] is not None:
-                        pc, cycles, executed = _trace_point(
+                        pc, cycles, executed, rec = _trace_point(
                             jit, jstate, npc, fn_name, code, costs,
-                            slots, heap, printed, cycles, executed,
-                            limit, jenv, listener, buf, frame_id)
+                            slots, cycles, executed, jenv, traced,
+                            frame_id)
                     else:
                         pc = npc
                 elif op == _ALOAD:
                     try:
-                        slots[ins[1]] = heap_load(
-                            slots[ins[2]], slots[ins[3]])
+                        if traced:
+                            slots[ins[1]], addr = heap_load_addr(
+                                slots[ins[2]], slots[ins[3]])
+                        else:
+                            slots[ins[1]] = heap_load(
+                                slots[ins[2]], slots[ins[3]])
                     except HeapError as exc:
                         raise ExecutionError(
                             str(exc), pc, fn_name) from None
-                    buf_append(("ld",
-                                heap_address(slots[ins[2]], slots[ins[3]]),
-                                cycles, fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append(("ld", addr, cycles, fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
+                            if rec is not None:
+                                rec = rec.listened(executed)
                     pc += 1
                 elif op == _ASTORE:
                     try:
-                        heap_store(slots[ins[1]], slots[ins[2]],
-                                   slots[ins[3]])
+                        if traced:
+                            addr = heap_store_addr(
+                                slots[ins[1]], slots[ins[2]],
+                                slots[ins[3]])
+                        else:
+                            heap_store(slots[ins[1]], slots[ins[2]],
+                                       slots[ins[3]])
                     except HeapError as exc:
                         raise ExecutionError(
                             str(exc), pc, fn_name) from None
-                    buf_append(("st",
-                                heap_address(slots[ins[1]], slots[ins[2]]),
-                                cycles, fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                    if traced:
+                        buf_append(("st", addr, cycles, fn_name, pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
+                            if rec is not None:
+                                rec = rec.listened(executed)
                     pc += 1
                 elif op == _UN:
                     try:
@@ -565,6 +427,9 @@ class Interpreter:
                             str(exc), pc, fn_name) from None
                     pc += 1
                 elif op == _CALL:
+                    if rec is not None:
+                        rec.abort()
+                        rec = None
                     callee = functions.get(ins[6])
                     if callee is None:
                         raise ExecutionError(
@@ -584,14 +449,13 @@ class Interpreter:
                     frame_id = next_frame_id
                     next_frame_id += 1
                     if jit is not None:
-                        jstate = jit.state_for(fn_name, MODE_TRACED,
-                                               len(code))
+                        jstate = jit.state_for(fn_name, mode, len(code))
                 elif op == _RET:
+                    if rec is not None:
+                        rec.abort()
+                        rec = None
                     value = slots[ins[1]] if ins[1] >= 0 else None
                     if not stack:
-                        if buf:
-                            on_mem_batch(buf)
-                            buf.clear()
                         return RunResult(
                             cycles, executed, value, heap, printed,
                             None if jit is None else jit.snapshot())
@@ -600,44 +464,36 @@ class Interpreter:
                     if dst >= 0:
                         slots[dst] = value
                     dst = ret_dst
-                # --- annotations ------------------------------------
-                elif op == _LWL:
-                    buf_append(("lld", frame_id, ins[1], cycles,
-                                fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
+                # --- annotations: pure cost with no listener --------
+                elif op == _LWL or op == _SWL:
+                    if traced:
+                        buf_append(("lld" if op == _LWL else "lst",
+                                    frame_id, ins[1], cycles, fn_name,
+                                    pc))
+                        if len(buf) >= flush_at:
+                            on_mem_batch(buf)
+                            buf.clear()
+                            if rec is not None:
+                                rec = rec.listened(executed)
                     pc += 1
-                elif op == _SWL:
-                    buf_append(("lst", frame_id, ins[1], cycles,
-                                fn_name, pc))
-                    if len(buf) >= flush_at:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    pc += 1
-                elif op == _EOI:
-                    if buf:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    listener.on_eoi(ins[1], cycles)
-                    pc += 1
-                elif op == _SLOOP:
-                    if buf:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    listener.on_sloop(ins[1], ins[2], cycles, frame_id)
-                    pc += 1
-                elif op == _ELOOP:
-                    if buf:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    listener.on_eloop(ins[1], cycles)
-                    pc += 1
-                elif op == _READSTATS:
-                    if buf:
-                        on_mem_batch(buf)
-                        buf.clear()
-                    listener.on_readstats(ins[1], cycles)
+                elif op == _EOI or op == _SLOOP or op == _ELOOP \
+                        or op == _READSTATS:
+                    if traced:
+                        if buf:
+                            on_mem_batch(buf)
+                            buf.clear()
+                        if op == _EOI:
+                            listener.on_eoi(ins[1], cycles)
+                        elif op == _SLOOP:
+                            listener.on_sloop(ins[1], ins[2], cycles,
+                                              frame_id)
+                        elif op == _ELOOP:
+                            listener.on_eloop(ins[1], cycles)
+                        else:
+                            listener.on_readstats(ins[1], cycles)
+                        if rec is not None:
+                            # the callback may have patched live code
+                            rec = rec.listened(executed)
                     pc += 1
                 elif op == _PRINT:
                     printed.append(slots[ins[1]])
@@ -648,6 +504,10 @@ class Interpreter:
                     raise ExecutionError(
                         "unknown opcode %r" % op, pc, fn_name)
         finally:
+            if rec is not None:
+                # an error ended the run: settle a recording that had
+                # already run past its op limit, as a stop would have
+                rec.over_limit(executed)
             # deliver events observed before an abnormal exit
             if buf:
                 on_mem_batch(buf)

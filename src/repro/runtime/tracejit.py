@@ -1,6 +1,6 @@
 """Trace-recording speculative fast path for the interpreter (trace JIT).
 
-The dispatch loops in :mod:`repro.runtime.interpreter` pay per
+The dispatch loop in :mod:`repro.runtime.interpreter` pays per
 instruction: a dispatch-table index, an opcode compare chain, a cost
 lookup, and two counter updates.  The steady state of every hot loop
 repeats the same linear instruction path, so that per-instruction tax
@@ -11,13 +11,14 @@ threads, applied here to the interpreter itself:
 1. **Hotness.**  Backedges (a ``JMP``/``BR`` whose target is at or
    before the branch) carry a per-target countdown.  When a target —
    the *anchor* — gets hot, the interpreter switches to recording mode.
-2. **Recording.**  The recorder executes instructions with exactly the
-   interpreter's semantics while capturing the linear path taken.
-   Recording stops successfully when control returns to the anchor
-   (a loop closed), and is abandoned at a ``CALL``/``RET``, at a
-   backedge to any *other* pc (an inner loop — it gets its own trace),
-   at the length limit, or when live code patching invalidates the
-   function mid-recording.
+2. **Recording.**  The interpreter's own dispatch loop runs the
+   recorded iteration, handing a :class:`Recording` each branch
+   direction taken; nothing here executes bytecode.  Recording stops
+   successfully when control returns to the anchor (a loop closed),
+   and is abandoned at a ``CALL``/``RET``, at a backedge to any
+   *other* pc (an inner loop — it gets its own trace), at the length
+   limit, or when live code patching invalidates the function
+   mid-recording.
 3. **Linking.**  A successful recording is verified
    (:func:`verify_trace`) and compiled into a *guarded superblock*: a
    Python function, generated and ``exec``-compiled at link time, that
@@ -75,7 +76,7 @@ validity cell; running traced-mode superblocks check the cell after
 every listener call and side-exit as soon as their own code is
 patched.  Traces elsewhere in the function stay linked, and the JIT
 epoch — bumped on every patch — only aborts in-flight recordings,
-whose captured instruction tuples alias the patched decoded cache.
+whose path already ran the old instructions and costs.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.bytecode.opcodes import BinOp, Op
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ReproError
 
 #: plain-int opcodes (enum compares are slow; mirrors the interpreter)
 _CONST = int(Op.CONST)
@@ -166,11 +167,10 @@ def resolve_trace_jit(flag: Optional[bool]) -> bool:
 
 
 def resolve_threshold(threshold: Optional[int]) -> int:
-    """Effective hotness threshold: explicit value, else
-    ``JRPM_TRACE_JIT_THRESHOLD``, else :data:`DEFAULT_HOT_THRESHOLD`."""
+    """Effective hotness threshold: the explicit value (at least 1),
+    else :data:`DEFAULT_HOT_THRESHOLD`."""
     if threshold is None:
-        env = os.environ.get("JRPM_TRACE_JIT_THRESHOLD")
-        threshold = int(env) if env else DEFAULT_HOT_THRESHOLD
+        return DEFAULT_HOT_THRESHOLD
     return max(1, int(threshold))
 
 
@@ -259,8 +259,8 @@ class TraceJIT:
         stay linked — so does every blacklist decision and warming
         countdown.  Flipping a dropped trace's validity cell side-exits
         a superblock already on the stack; the epoch bump aborts any
-        in-flight recording (its captured instruction tuples alias the
-        decoded cache the patch just rewrote)."""
+        in-flight recording (the path it ran so far used the
+        instructions and costs the patch just rewrote)."""
         self.epoch[0] += 1
         self.invalidations += 1
         threshold = self.threshold
@@ -750,205 +750,139 @@ def link_trace(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
 # recording
 # ---------------------------------------------------------------------------
 
-def record_and_link(jit: TraceJIT, mode: str, fn_name: str, anchor: int,
-                    code: List[tuple], costs: List[int], n_slots: int,
-                    slots: List, heap, printed: List,
-                    cycles: int, executed: int, limit: int,
-                    listener=None, buf: Optional[List] = None,
-                    frame_id: int = -1,
-                    tail: bool = False) -> Tuple[int, int, int]:
-    """Execute from ``anchor`` with full interpreter semantics while
-    recording the path taken; link a superblock if the trace closes.
+class Recording:
+    """One in-flight trace recording, driven by the interpreter loop.
 
-    A loop trace (``tail=False``) closes when control returns to the
-    anchor; a tail trace (``tail=True``) closes at the *first* taken
-    backedge, wherever it leads — the straightline from a hot side
-    exit back to some loop header.
+    Recording executes nothing itself: the interpreter's dispatch loop
+    runs the recorded iteration with its usual semantics and reports
+    the few points a recording cares about — :meth:`branch` at every
+    ``BR``/``JMP``, :meth:`abort` at a ``CALL``/``RET``, and
+    :meth:`listened` after every listener call.  A loop recording
+    (``tail=False``) closes when control returns to the anchor; a tail
+    recording closes at the *first* taken backedge, wherever it leads —
+    the straightline from a hot side exit back to some loop header.
+    Each stop decides the anchor's fate as described in the module
+    docstring.
 
-    Returns ``(pc, cycles, executed)`` for the interpreter to resume
-    from — the recorder *is* execution, so all side effects (heap,
-    printed output, published events) are real whether or not the
-    recording succeeds.  Failure modes update the anchor state:
-    blacklisted (``None``) for structural failures, re-armed countdown
-    for a mid-recording code patch.
+    Along a recording every branch except the closing backedge goes
+    forward, so pcs strictly increase and the logged ``BR`` directions
+    alone rebuild the ``(pc, ins, taken)`` path :func:`verify_trace`
+    and :func:`link_trace` consume.  The op limit is settled lazily:
+    whatever stop comes first after the limit — the next branch, call,
+    return or listener call — blacklists as the limit would have, and
+    nothing in between can observe the anchor's state.
     """
-    from repro.runtime.values import (
-        apply_binop,
-        apply_intrinsic,
-        apply_unop,
-    )
-    from repro.errors import HeapError
 
-    jit.recordings += 1
-    state = jit.state_for(fn_name, mode + ":tail" if tail else mode,
-                          len(code))
-    epoch0 = jit.epoch[0]
-    traced = mode == MODE_TRACED
-    entries: List[tuple] = []
-    max_ops = jit.max_ops
+    __slots__ = ("jit", "mode", "fn_name", "anchor", "code", "costs",
+                 "n_slots", "tail", "state", "start", "epoch", "taken")
 
-    heap_load = heap.load
-    heap_store = heap.store
-    heap_address = heap.address
-    if traced:
-        on_mem_batch = listener.on_mem_batch
-        buf_append = buf.append
+    def __init__(self, jit: TraceJIT, mode: str, fn_name: str,
+                 anchor: int, code: List[tuple], costs: List[int],
+                 n_slots: int, executed: int, tail: bool = False):
+        jit.recordings += 1
+        self.jit = jit
+        self.mode = mode
+        self.fn_name = fn_name
+        self.anchor = anchor
+        self.code = code
+        self.costs = costs
+        self.n_slots = n_slots
+        self.tail = tail
+        self.state = jit.state_for(
+            fn_name, mode + ":tail" if tail else mode, len(code))
+        #: instructions executed before the anchor's
+        self.start = executed
+        self.epoch = jit.epoch[0]
+        #: direction of every BR on the recorded path, in order
+        self.taken: List[bool] = []
 
-    pc = anchor
-    while True:
-        ins = code[pc]
-        op = ins[0]
-        if op == _CALL or op == _RET or len(entries) >= max_ops:
-            # structural stop before executing: the generic loop takes
-            # over at this pc, and the anchor never records again
+    def abort(self) -> None:
+        """Structural stop (a call, a return, or the op limit): the
+        generic loop takes over, and the anchor never records again."""
+        self.jit.blacklist(self.state, self.anchor)
+        self.jit.recordings_aborted += 1
+
+    def over_limit(self, executed: int) -> bool:
+        """Abort if the current instruction (``executed`` counts it) is
+        past :data:`MAX_TRACE_OPS`; True if so."""
+        if executed - self.start > self.jit.max_ops:
+            self.abort()
+            return True
+        return False
+
+    def listened(self, executed: int) -> Optional["Recording"]:
+        """After a listener call: ``self`` while the recording goes on,
+        ``None`` once it stopped.  A callback that patched live code
+        (the epoch moved) leaves the recording stale — it is abandoned
+        and the anchor re-warms."""
+        if self.over_limit(executed):
+            return None
+        jit = self.jit
+        if jit.epoch[0] != self.epoch:
+            self.state[self.anchor] = jit.threshold
+            jit.recordings_aborted += 1
+            return None
+        return self
+
+    def branch(self, pc: int, npc: int, taken: Optional[bool]) -> bool:
+        """Log the ``BR`` (``taken`` True/False) or ``JMP`` (``taken``
+        None) at ``pc`` continuing to ``npc``.  True when the recording
+        ended at this backedge — the caller resumes at ``npc`` without
+        trace-point dispatch."""
+        if taken is not None:
+            self.taken.append(taken)
+        if npc > pc:
+            return False
+        jit = self.jit
+        state = self.state
+        anchor = self.anchor
+        if self.tail or npc == anchor:
+            # first taken backedge of a tail, or the loop closed
+            try:
+                state[anchor] = link_trace(
+                    jit, self.mode, self.fn_name, anchor,
+                    self._entries(pc), self.costs, self.n_slots,
+                    len(self.code), npc if self.tail else None)
+            except TraceJITError:
+                jit.blacklist(state, anchor)
+            return True
+        # a backedge belonging to a different anchor.  Usually the
+        # recording just started on an entry's final iteration and ran
+        # off the loop exit into surrounding code — re-warm and retry;
+        # an anchor that hits a foreign backedge on every attempt (a
+        # genuinely outer loop) exhausts its budget and blacklists
+        jit.recordings_aborted += 1
+        key = (self.fn_name, self.mode, anchor)
+        attempts = jit._attempts.get(key, 0) + 1
+        if attempts >= MAX_RECORD_ATTEMPTS:
             jit.blacklist(state, anchor)
-            jit.recordings_aborted += 1
-            return pc, cycles, executed
-        cycles += costs[pc]
-        executed += 1
-        if executed > limit:
-            raise ExecutionError(
-                "instruction budget exceeded (%d)" % limit, pc, fn_name)
-        taken = None
-        npc = pc + 1
-        if op == _BIN:
-            try:
-                slots[ins[1]] = apply_binop(
-                    ins[4], slots[ins[2]], slots[ins[3]])
-            except ExecutionError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-        elif op == _CONST:
-            slots[ins[1]] = ins[5]
-        elif op == _MOV:
-            slots[ins[1]] = slots[ins[2]]
-        elif op == _BR:
-            taken = bool(slots[ins[1]])
-            npc = ins[2] if taken else ins[3]
-        elif op == _JMP:
-            npc = ins[1]
-        elif op == _ALOAD:
-            try:
-                slots[ins[1]] = heap_load(slots[ins[2]], slots[ins[3]])
-            except HeapError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-            if traced:
-                buf_append(("ld",
-                            heap_address(slots[ins[2]], slots[ins[3]]),
-                            cycles, fn_name, pc))
-                if len(buf) >= FLUSH_AT:
-                    on_mem_batch(buf)
-                    buf.clear()
-        elif op == _ASTORE:
-            try:
-                heap_store(slots[ins[1]], slots[ins[2]], slots[ins[3]])
-            except HeapError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-            if traced:
-                buf_append(("st",
-                            heap_address(slots[ins[1]], slots[ins[2]]),
-                            cycles, fn_name, pc))
-                if len(buf) >= FLUSH_AT:
-                    on_mem_batch(buf)
-                    buf.clear()
-        elif op == _UN:
-            try:
-                slots[ins[1]] = apply_unop(ins[4], slots[ins[2]])
-            except ExecutionError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-        elif op == _NEWARR:
-            try:
-                slots[ins[1]] = heap.allocate(slots[ins[2]])
-            except HeapError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-        elif op == _LEN:
-            try:
-                slots[ins[1]] = heap.length(slots[ins[2]])
-            except HeapError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-        elif op == _INTRIN:
-            try:
-                slots[ins[1]] = apply_intrinsic(
-                    ins[6], [slots[s] for s in ins[7]])
-            except ExecutionError as exc:
-                raise ExecutionError(str(exc), pc, fn_name) from None
-        elif op == _PRINT:
-            printed.append(slots[ins[1]])
-        elif traced and op == _LWL:
-            buf_append(("lld", frame_id, ins[1], cycles, fn_name, pc))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
-        elif traced and op == _SWL:
-            buf_append(("lst", frame_id, ins[1], cycles, fn_name, pc))
-            if len(buf) >= FLUSH_AT:
-                on_mem_batch(buf)
-                buf.clear()
-        elif traced and op == _SLOOP:
-            if buf:
-                on_mem_batch(buf)
-                buf.clear()
-            listener.on_sloop(ins[1], ins[2], cycles, frame_id)
-        elif traced and op == _EOI:
-            if buf:
-                on_mem_batch(buf)
-                buf.clear()
-            listener.on_eoi(ins[1], cycles)
-        elif traced and op == _ELOOP:
-            if buf:
-                on_mem_batch(buf)
-                buf.clear()
-            listener.on_eloop(ins[1], cycles)
-        elif traced and op == _READSTATS:
-            if buf:
-                on_mem_batch(buf)
-                buf.clear()
-            listener.on_readstats(ins[1], cycles)
-        elif op == _NOP or op >= _SLOOP:
-            pass  # fast mode: annotations are pure cost
-        else:  # pragma: no cover - exhaustive
-            raise ExecutionError("unknown opcode %r" % op, pc, fn_name)
+        else:
+            jit._attempts[key] = attempts
+            # re-warm with a phase shift: a loop with a fixed trip
+            # count revisits its anchor a fixed number of times per
+            # entry, so an unchanged countdown would re-trigger
+            # recording on the same (final) iteration of a later entry
+            # forever
+            state[anchor] = jit.threshold + attempts
+        return True
 
-        entries.append((pc, ins, taken))
-        if traced and jit.epoch[0] != epoch0:
-            # a convergence callback patched this function while we
-            # were recording: the captured instructions and costs are
-            # stale — abandon and re-warm the anchor
-            state[anchor] = jit.threshold
-            jit.recordings_aborted += 1
-            return npc, cycles, executed
-        if op == _BR or op == _JMP:
-            if tail:
-                if npc <= pc:
-                    break  # first taken backedge: the tail is complete
-            elif npc == anchor:
-                break  # the loop closed: a complete linear trace
-            elif npc <= pc:
-                # a backedge belonging to a different anchor.  Usually
-                # the recording just started on an entry's final
-                # iteration and ran off the loop exit into surrounding
-                # code — re-warm and retry; an anchor that hits a
-                # foreign backedge on every attempt (a genuinely outer
-                # loop) exhausts its budget and blacklists
-                jit.recordings_aborted += 1
-                key = (fn_name, mode, anchor)
-                attempts = jit._attempts.get(key, 0) + 1
-                if attempts >= MAX_RECORD_ATTEMPTS:
-                    jit.blacklist(state, anchor)
-                else:
-                    jit._attempts[key] = attempts
-                    # re-warm with a phase shift: a loop with a fixed
-                    # trip count revisits its anchor a fixed number of
-                    # times per entry, so an unchanged countdown would
-                    # re-trigger recording on the same (final)
-                    # iteration of a later entry forever
-                    state[anchor] = jit.threshold + attempts
-                return npc, cycles, executed
-        pc = npc
-
-    exit_pc = npc if tail else None
-    try:
-        state[anchor] = link_trace(jit, mode, fn_name, anchor, entries,
-                                   costs, n_slots, len(code), exit_pc)
-    except TraceJITError:
-        jit.blacklist(state, anchor)
-    return (anchor if exit_pc is None else exit_pc), cycles, executed
+    def _entries(self, last_pc: int) -> List[tuple]:
+        """The recorded path from the anchor to the closing branch at
+        ``last_pc``, following the logged ``BR`` directions."""
+        code = self.code
+        taken = iter(self.taken)
+        entries: List[tuple] = []
+        pc = self.anchor
+        while True:
+            ins = code[pc]
+            op = ins[0]
+            if op == _BR:
+                direction = next(taken)
+                entries.append((pc, ins, direction))
+                npc = ins[2] if direction else ins[3]
+            else:
+                entries.append((pc, ins, None))
+                npc = ins[1] if op == _JMP else pc + 1
+            if pc == last_pc:
+                return entries
+            pc = npc

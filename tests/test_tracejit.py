@@ -183,6 +183,83 @@ class TestGuardFailure:
         assert "budget" in str(on.value)
 
 
+CHASE = """
+func main() {
+  var nxt = array(4);
+  nxt[0] = 2; nxt[1] = 3; nxt[2] = 1; nxt[3] = 0;
+  var p = 0;
+  p = nxt[p];
+  p = nxt[p];
+  p = nxt[p];
+  return p;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def huffman_runs():
+    """Table 6 Huffman through the profile stages, JIT off and on."""
+    from repro.jrpm import Jrpm
+    from repro.workloads.registry import get_workload
+    source = get_workload("Huffman").source()
+    return {jit: Jrpm(source=source, name="Huffman",
+                      trace_jit=jit).run(simulate_tls=False)
+            for jit in (False, True)}
+
+
+class TestEventAddresses:
+    def test_chase_load_reports_the_element_it_read(self):
+        # p = nxt[p] overwrites its own index slot (ALOAD 1, 0, 1): the
+        # event must carry the address read, not nxt[new p]
+        program = compile_source(CHASE)
+        chase = [ins for ins in program.functions["main"].code
+                 if ins.op == Op.ALOAD]
+        assert [(i.a, i.b, i.c) for i in chase] == [(1, 0, 1)] * 3
+        for jit in (False, True):
+            listener = RecordingListener()
+            result = run_program(program, listener=listener,
+                                 trace_jit=jit)
+            assert result.return_value == 3
+            base = min(e.address for e in listener.mem if e.kind == "st")
+            loads = [e.address - base for e in listener.mem
+                     if e.kind == "ld"]
+            assert loads == [0, 8, 4]
+
+    def test_huffman_event_stream_independent_of_jit(self, huffman_runs):
+        off = huffman_runs[False].recording
+        on = huffman_runs[True].recording
+        assert len(off) > 0
+        assert on.kinds == off.kinds
+        assert on.cycles == off.cycles
+        assert on.addresses == off.addresses
+        assert on.marks == off.marks
+
+
+class TestHuffmanCounters:
+    """Trace-JIT counters of Table 6 Huffman, pinned: any drift in
+    hotness, recording stops or superblock exits changes them."""
+
+    COMMON = {"recordings": 10, "recordings_aborted": 2,
+              "traces_linked": 8, "traces_blacklisted": 0,
+              "invocations": 9689, "guard_failures": 4498}
+
+    def _counters(self, snapshot, **extra):
+        want = dict(self.COMMON, **extra)
+        return {key: snapshot[key] for key in want}, want
+
+    def test_sequential(self, huffman_runs):
+        got, want = self._counters(huffman_runs[True].sequential.jit,
+                                   invalidations=0,
+                                   ops_committed=215719)
+        assert got == want
+
+    def test_profiled(self, huffman_runs):
+        got, want = self._counters(huffman_runs[True].profiled.jit,
+                                   invalidations=4,
+                                   ops_committed=282251)
+        assert got == want
+
+
 class TestRecordingStopRules:
     def test_call_in_loop_blacklists_anchor(self):
         src = """
@@ -330,11 +407,8 @@ class TestSwitches:
         monkeypatch.delenv("JRPM_TRACE_JIT", raising=False)
         assert resolve_trace_jit(None) is True
 
-    def test_threshold_env(self, monkeypatch):
-        monkeypatch.setenv("JRPM_TRACE_JIT_THRESHOLD", "5")
-        assert resolve_threshold(None) == 5
+    def test_threshold_env(self):
         assert resolve_threshold(9) == 9
-        monkeypatch.delenv("JRPM_TRACE_JIT_THRESHOLD")
         assert resolve_threshold(0) == 1  # clamped
 
 
