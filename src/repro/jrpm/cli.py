@@ -812,7 +812,7 @@ def main(argv=None) -> int:
     if report.outcome is not None:
         print()
         print(render_predicted_vs_actual(report))
-    if report.engine is not None:
+    if report.engine_stats is not None:
         print()
         print(render_engine_stats(report))
     if jrpm.trace_jit:

@@ -15,7 +15,9 @@ One :class:`Jrpm` object drives the five stages for a program:
    against the prediction.
 
 The returned :class:`JrpmReport` carries every intermediate product so
-benches and tests can regenerate each of the paper's tables and figures.
+benches and tests can regenerate each of the paper's tables and figures;
+its event recording and trace engine stay in the process that ran the
+pipeline (see :attr:`JrpmReport.WORKER_LOCAL`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.runtime.costs import DEFAULT_COSTS, CostModel
 from repro.runtime.events import ColumnarRecording, MulticastListener
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
 from repro.runtime.tracejit import resolve_trace_jit
-from repro.tls.engine import TraceEngine
+from repro.tls.engine import TraceEngine, TraceEngineStats
 from repro.tls.simulator import TLSResult
 from repro.tls.stats import ProgramTLSOutcome
 from repro.tracer.device import TestDevice
@@ -58,7 +60,21 @@ from repro.tracer.selector import SelectionResult, select_stls
 
 
 class JrpmReport:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced.
+
+    In the process that ran the pipeline every field is set.  The
+    fields named in :attr:`WORKER_LOCAL` stay there: pickling (the
+    fleet's process boundary) writes them as None, so a report crosses
+    it as results and statistics, the way Jrpm's post-processing reads
+    only the per-STL statistics TEST collected.  ``engine_stats``
+    crosses, so the engine counters serialize the same on both sides.
+    A sweep that needs the trace again fetches the profile artifact
+    from the cache, which holds the recording under its profile key.
+    """
+
+    #: the columnar event recording and the trace engine (which holds
+    #: the recording again plus its kernel memo tables)
+    WORKER_LOCAL = ("recording", "engine")
 
     def __init__(self, name: str):
         self.name = name
@@ -76,13 +92,22 @@ class JrpmReport:
         self.tls_results: Dict[int, TLSResult] = {}
         self.outcome: Optional[ProgramTLSOutcome] = None
         #: the columnar event trace of the profiled run; sweeps can
-        #: replay it without re-profiling
+        #: replay it without re-profiling (worker-local)
         self.recording: Optional[ColumnarRecording] = None
         #: the trace engine the TLS replay ran through (None when TLS
-        #: was skipped)
+        #: was skipped; worker-local)
         self.engine: Optional[TraceEngine] = None
+        #: the engine's counters: the same object ``engine.stats`` is,
+        #: so later replays against ``engine`` show in it too
+        self.engine_stats: Optional[TraceEngineStats] = None
         #: execution-model names that competed for each loop
         self.models: tuple = (DEFAULT_MODEL,)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in self.WORKER_LOCAL:
+            state[name] = None
+        return state
 
     # -- headline numbers -------------------------------------------------
 
@@ -182,6 +207,7 @@ class Jrpm:
         if simulate_tls:
             engine = TraceEngine(report.recording)
             report.engine = engine
+            report.engine_stats = engine.stats
             for sel in report.selection.selected:
                 cand = report.candidates.by_id.get(sel.loop_id)
                 if cand is None:
@@ -308,12 +334,6 @@ class Jrpm:
             device.on_converged = runtime.on_converged
             profiled = interp.run()
             device.finish()
-            # the convergence callback is a bound method of the
-            # runtime, which holds the whole interpreter (and with it
-            # any linked trace-JIT superblocks) — drop it now that
-            # profiling is over so reports stay picklable across the
-            # fleet's process boundary
-            device.on_converged = None
             if cache is not None:
                 cache.store(STAGE_PROFILE, pkey,
                             (profiled, device, recording))

@@ -97,9 +97,9 @@ def render_models(report: JrpmReport) -> str:
 def render_engine_stats(report: JrpmReport) -> str:
     """Trace-engine observability block: per-phase wall-clock and
     kernel memo hit/miss counters of the TLS replay."""
-    if report.engine is None:
+    if report.engine_stats is None:
         return "(trace engine was not used)"
-    return "trace engine\n" + report.engine.stats.render()
+    return "trace engine\n" + report.engine_stats.render()
 
 
 def render_trace_jit(report: JrpmReport) -> str:
@@ -325,14 +325,14 @@ def report_to_dict(report: JrpmReport) -> Dict[str, Any]:
                 report.outcome.actual_normalized_time,
             "rows": rows,
         }
-    if report.engine is not None:
+    if report.engine_stats is not None:
         # wall-clock seconds are dropped: the canonical report must be
         # deterministic for a given request (CLI and service emit
         # byte-identical JSON), and timings never are
         out["engine"] = {
             kernel: {k: v for k, v in counters.items()
                      if k != "seconds"}
-            for kernel, counters in report.engine.stats.snapshot().items()
+            for kernel, counters in report.engine_stats.snapshot().items()
         }
     return out
 

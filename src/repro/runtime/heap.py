@@ -73,8 +73,8 @@ class Heap:
     def load_addr(self, handle, index):
         """Read element ``index``; returns ``(value, byte_address)``.
 
-        One call where the traced paths would otherwise pay
-        :meth:`load` plus :meth:`address` per event.
+        One call where the traced path would otherwise pay a
+        :meth:`load` plus an address computation per event.
         """
         arr = self._array(handle)
         if isinstance(index, float):
@@ -98,10 +98,6 @@ class Heap:
     def length(self, handle) -> int:
         """Element count of the array."""
         return len(self._array(handle))
-
-    def address(self, handle, index) -> int:
-        """Byte address of element ``index`` (no bounds check)."""
-        return handle + WORD_SIZE * int(index)
 
     def snapshot(self) -> Dict[int, List]:
         """Copy of all arrays, for result comparisons in tests."""

@@ -100,6 +100,10 @@ class JsonHandler(BaseHTTPRequestHandler):
 
     server_version = "jrpm-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two writes (headers, then
+    #: body), and with Nagle on the body waits for the client's delayed
+    #: ACK of the headers — about 40 ms per keep-alive request
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 

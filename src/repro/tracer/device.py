@@ -425,7 +425,15 @@ class TestDevice(TraceListener):
     # -- results ------------------------------------------------------------
 
     def finish(self) -> None:
-        """Validate end-of-run invariants (all activations closed)."""
+        """End profiling: drop the convergence callback and validate
+        end-of-run invariants (all activations closed).
+
+        The callback is the runtime's bound method, which holds the
+        whole interpreter (and its linked trace-JIT superblocks); the
+        finished device pickles without it, into the artifact cache and
+        across the fleet's process boundary.
+        """
+        self.on_converged = None
         if self._stack and self.strict:
             raise TracerError(
                 "program ended with %d open STL activations: %r"

@@ -14,6 +14,7 @@ from repro.jrpm.batch import FleetErrorRow, FleetRow, run_fleet
 from repro.jrpm.cache import STAGE_PROFILE, ArtifactCache
 from repro.jrpm.executor import FleetExecutor
 from repro.jrpm.faults import FaultPlan
+from repro.jrpm.report import dumps_canonical, report_to_dict
 from repro.workloads import get_workload
 from repro.workloads.registry import Workload
 
@@ -54,6 +55,11 @@ class TestParallelMatchesSerial:
             for field in ROW_FIELDS:
                 assert getattr(s_row, field) == getattr(p_row, field), \
                     field
+            # the worker's report crossed the process boundary without
+            # its recording and engine, yet serializes identically
+            assert p_row.report.recording is None
+            assert dumps_canonical(report_to_dict(s_row.report)) == \
+                dumps_canonical(report_to_dict(p_row.report))
 
     def test_order_is_workload_order_not_completion_order(
             self, sample_workloads):

@@ -11,6 +11,7 @@ tests before it breaks a client.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -83,6 +84,16 @@ def test_tls_report_round_trips(name):
     if parsed["engine"] is not None:
         for counters in parsed["engine"].values():
             assert "seconds" not in counters
+    # the process boundary: the recording and the engine stay behind,
+    # the bytes a client sees do not change, and the payload is small
+    blob = pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
+    shipped = pickle.loads(blob)
+    assert shipped.recording is None and shipped.engine is None
+    assert report.recording is not None and report.engine is not None
+    assert dumps_canonical(report_to_dict(shipped)) == \
+        dumps_canonical(report_to_dict(report))
+    assert json.loads(report_json(shipped))["engine"] is not None
+    assert len(blob) <= 256 * 1024
 
 
 def test_serialization_is_deterministic():

@@ -8,6 +8,7 @@ import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -711,6 +712,44 @@ class TestKeepAliveDrain:
             assert resp.getheader("Connection") == "close"
         finally:
             conn.close()
+
+
+class TestKeepAliveLatency:
+    def test_back_to_back_hits_do_not_stall(self):
+        """The second response on a keep-alive connection must not wait
+        on the client's delayed ACK: the handler writes headers and
+        body separately, and with Nagle's algorithm on the body is held
+        until the headers are ACKed (about 40 ms on Linux)."""
+        release = threading.Event()
+        release.set()
+        svc = AnalysisService(
+            port=0, scheduler=_blocked_runner_scheduler(release)).start()
+        body = json.dumps({"workload": "BitOps"}).encode()
+        try:
+            status, _, _ = _request(svc.port, "POST", "/analyze",
+                                    body={"workload": "BitOps"})
+            assert status == 200  # primes the result LRU
+            seconds = []
+            for _ in range(10):
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", svc.port, timeout=30)
+                try:
+                    for _ in range(2):
+                        started = time.perf_counter()
+                        conn.request("POST", "/analyze", body=body)
+                        resp = conn.getresponse()
+                        resp.read()
+                        assert resp.status == 200
+                    seconds.append(time.perf_counter() - started)
+                finally:
+                    conn.close()
+            hits = svc.metrics.to_dict()["counters"]["result_cache_hits"]
+        finally:
+            svc.stop()
+        assert hits == 20
+        median = statistics.median(seconds)
+        assert median < 0.020, "second-request median %.1f ms" % (
+            median * 1e3)
 
 
 class TestBodyCap:
